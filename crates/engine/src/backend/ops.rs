@@ -9,6 +9,8 @@
 //! identical answers **and identical collective-round counts** — the
 //! property `tests/backend_conformance.rs` pins down.
 
+use std::ops::Range;
+
 use cgselect_balance::{rebalance, Balancer};
 use cgselect_core::{parallel_multi_select_windows, RankedWindow};
 use cgselect_runtime::{Key, Proc};
@@ -48,82 +50,29 @@ pub(crate) fn init_shard<T: Key>(sketch_capacity: usize) -> Shard<T> {
 /// returns the shard's new size.
 pub(crate) fn ingest_shard<T: Key>(proc: &mut Proc, shard: &mut Shard<T>, mine: Vec<T>) -> u64 {
     proc.charge_ops(mine.len() as u64);
-    shard.data.reserve(mine.len());
-    for x in mine {
-        shard.sketch.offer(x);
-        shard.data.push(x);
-    }
+    shard.sketch.extend(&mine);
+    shard.data.extend_from_slice(&mine);
     shard.data.len() as u64
 }
 
-/// Delete: one compacting pass removing every occurrence of the (sorted,
-/// deduplicated) values, maintaining the bucket index in place. Every
-/// binary-search comparison and element move is counted, matching how the
-/// selection kernels charge their measured work.
+/// Delete: removes every occurrence of the (sorted, deduplicated) values
+/// in one compacting pass (see [`compact_shard`]), then rebuilds the sketch
+/// if anything went. Every comparison and element move is counted,
+/// matching how the selection kernels charge their measured work.
 pub(crate) fn delete_shard<T: Key>(
     proc: &mut Proc,
     shard: &mut Shard<T>,
     sorted: &[T],
 ) -> ShardDeletion {
-    let Shard { data, sketch, index } = shard;
-    let before = data.len();
-    let mut cmps = 0u64;
-    let mut moves = 0u64;
-    let mut write = 0usize;
-    let mut removed: Vec<u64> =
-        index.as_ref().map(|idx| vec![0; idx.num_buckets() + 1]).unwrap_or_default();
-    match index {
-        Some(idx) => {
-            let delta_start = idx.delta_start();
-            let nb = idx.num_buckets();
-            let mut b = 0usize;
-            for read in 0..before {
-                let bucket = if read >= delta_start {
-                    nb
-                } else {
-                    while read >= idx.offsets[b + 1] {
-                        b += 1;
-                    }
-                    b
-                };
-                let x = data[read];
-                if binary_search_counting(sorted, &x, &mut cmps) {
-                    removed[bucket] += 1;
-                } else {
-                    if write != read {
-                        data[write] = x;
-                        moves += 1;
-                    }
-                    write += 1;
-                }
-            }
-            data.truncate(write);
-            let mut shifted = 0usize;
-            for (i, &gone) in removed[..nb].iter().enumerate() {
-                shifted += gone as usize;
-                idx.offsets[i + 1] -= shifted;
-            }
-        }
-        None => {
-            for read in 0..before {
-                let x = data[read];
-                if !binary_search_counting(sorted, &x, &mut cmps) {
-                    if write != read {
-                        data[write] = x;
-                        moves += 1;
-                    }
-                    write += 1;
-                }
-            }
-            data.truncate(write);
-        }
+    let before = shard.data.len();
+    let mut ops = OpCount::new();
+    let removed = compact_shard(&mut shard.data, shard.index.as_mut(), sorted, &mut ops);
+    proc.charge_ops(ops.total());
+    if shard.data.len() != before {
+        shard.sketch.rebuild(&shard.data);
+        proc.charge_ops(shard.data.len() as u64);
     }
-    proc.charge_ops(cmps + moves);
-    if write != before {
-        sketch.rebuild(data);
-        proc.charge_ops(data.len() as u64);
-    }
-    ShardDeletion { remaining: data.len() as u64, removed }
+    ShardDeletion { remaining: shard.data.len() as u64, removed }
 }
 
 /// Rebalance: runs the configured balancer over the shard data (dropping
@@ -581,5 +530,262 @@ fn binary_search_counting<T: Ord>(sorted: &[T], x: &T, cmps: &mut u64) -> bool {
     i < sorted.len() && {
         *cmps += 1;
         sorted[i] == *x
+    }
+}
+
+/// The compacting pass of a delete: drops every element found in `sorted`
+/// while survivors keep their relative order, and shifts the bucket
+/// offsets. Returns the per-bucket removal counts (`num_buckets + 1`
+/// entries, the last one the delta run's), or an empty vector without an
+/// index.
+///
+/// With an index the pass is splitter-pruned. The deleted values are cut
+/// into per-bucket slices by the bucket bounds, and each bucket searches
+/// only its own slice. This is exact because every element of bucket `b`
+/// is admitted by bound `b` and not by bound `b − 1`, so any deleted value
+/// equal to it lies in `b`'s slice. A bucket whose slice is empty is moved
+/// down whole and never searched. The unindexed delta run searches the
+/// whole list. Without an index every element searches the whole list.
+pub(crate) fn compact_shard<T: Key>(
+    data: &mut Vec<T>,
+    index: Option<&mut ShardIndex<T>>,
+    sorted: &[T],
+    ops: &mut OpCount,
+) -> Vec<u64> {
+    let end = data.len();
+    let mut write = 0usize;
+    let Some(idx) = index else {
+        compact_run(data, 0..end, &mut write, sorted, ops);
+        data.truncate(write);
+        return Vec::new();
+    };
+    let nb = idx.num_buckets();
+    let mut lo = 0usize;
+    let mut removed: Vec<u64> = idx
+        .offsets
+        .windows(2)
+        .enumerate()
+        .map(|(b, run)| {
+            let hi = match idx.bounds.get(b) {
+                Some(bound) => {
+                    lo + sorted[lo..].partition_point(|x| {
+                        ops.cmps += 1;
+                        bound.admits(x)
+                    })
+                }
+                None => sorted.len(),
+            };
+            let doomed = &sorted[lo..hi];
+            lo = hi;
+            compact_run(data, run[0]..run[1], &mut write, doomed, ops)
+        })
+        .collect();
+    removed.push(compact_run(data, idx.delta_start()..end, &mut write, sorted, ops));
+    data.truncate(write);
+    let mut shifted = 0usize;
+    for (i, &gone) in removed[..nb].iter().enumerate() {
+        shifted += gone as usize;
+        idx.offsets[i + 1] -= shifted;
+    }
+    removed
+}
+
+/// Compacts `data[run]` down to `*write`, dropping every element found in
+/// the sorted `doomed` list, and returns how many it dropped. With nothing
+/// doomed the run moves with one `copy_within`, searching nothing; either
+/// way each element that changes position counts as one move.
+fn compact_run<T: Key>(
+    data: &mut [T],
+    run: Range<usize>,
+    write: &mut usize,
+    doomed: &[T],
+    ops: &mut OpCount,
+) -> u64 {
+    if doomed.is_empty() {
+        let len = run.len();
+        if *write != run.start {
+            data.copy_within(run, *write);
+            ops.moves += len as u64;
+        }
+        *write += len;
+        return 0;
+    }
+    let mut dropped = 0u64;
+    for read in run {
+        let x = data[read];
+        if binary_search_counting(doomed, &x, &mut ops.cmps) {
+            dropped += 1;
+        } else {
+            if *write != read {
+                data[*write] = x;
+                ops.moves += 1;
+            }
+            *write += 1;
+        }
+    }
+    dropped
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The full-scan delete every shard ran before splitter pruning: each
+    /// element searches the whole deleted list. Kept as the reference the
+    /// pruned pass must reproduce exactly.
+    fn full_scan_reference(
+        data: &mut Vec<u64>,
+        idx: &mut ShardIndex<u64>,
+        sorted: &[u64],
+        ops: &mut OpCount,
+    ) -> Vec<u64> {
+        let (delta_start, nb) = (idx.delta_start(), idx.num_buckets());
+        let mut removed = vec![0u64; nb + 1];
+        let (mut write, mut b) = (0usize, 0usize);
+        for read in 0..data.len() {
+            let bucket = if read >= delta_start {
+                nb
+            } else {
+                while read >= idx.offsets[b + 1] {
+                    b += 1;
+                }
+                b
+            };
+            let x = data[read];
+            if binary_search_counting(sorted, &x, &mut ops.cmps) {
+                removed[bucket] += 1;
+            } else {
+                if write != read {
+                    data[write] = x;
+                    ops.moves += 1;
+                }
+                write += 1;
+            }
+        }
+        data.truncate(write);
+        let mut shifted = 0usize;
+        for (i, &gone) in removed[..nb].iter().enumerate() {
+            shifted += gone as usize;
+            idx.offsets[i + 1] -= shifted;
+        }
+        removed
+    }
+
+    /// A shard holding `indexed` bucket-ordered under `bounds`, with
+    /// `delta` appended as the unindexed run.
+    fn shard(
+        indexed: &[u64],
+        delta: &[u64],
+        bounds: &[SepBound<u64>],
+    ) -> (Vec<u64>, ShardIndex<u64>) {
+        let mut data = indexed.to_vec();
+        let (idx, _) = build_shard_index(&mut data, bounds.to_vec(), &mut OpCount::new());
+        data.extend_from_slice(delta);
+        (data, idx)
+    }
+
+    /// Runs both passes on copies of the shard and asserts identical data,
+    /// offsets, removal counts and moves; returns `(pruned, full)` cmps.
+    fn assert_pruned_matches_full_scan(
+        indexed: &[u64],
+        delta: &[u64],
+        bounds: &[SepBound<u64>],
+        sorted: &[u64],
+    ) -> (u64, u64) {
+        let (mut data, mut idx) = shard(indexed, delta, bounds);
+        let (mut ref_data, mut ref_idx) =
+            (data.clone(), ShardIndex { bounds: idx.bounds.clone(), offsets: idx.offsets.clone() });
+        let mut ops = OpCount::new();
+        let removed = compact_shard(&mut data, Some(&mut idx), sorted, &mut ops);
+        let mut ref_ops = OpCount::new();
+        let ref_removed = full_scan_reference(&mut ref_data, &mut ref_idx, sorted, &mut ref_ops);
+        assert_eq!(data, ref_data, "deleting {sorted:?}");
+        assert_eq!(idx.offsets, ref_idx.offsets, "deleting {sorted:?}");
+        assert_eq!(removed, ref_removed, "deleting {sorted:?}");
+        assert_eq!(ops.moves, ref_ops.moves, "deleting {sorted:?}");
+        // Survivors still sit in the buckets their bounds admit.
+        for b in 0..idx.num_buckets() {
+            for x in &data[idx.offsets[b]..idx.offsets[b + 1]] {
+                assert!(idx.bounds.get(b).is_none_or(|ub| ub.admits(x)), "{x} above bucket {b}");
+                assert!(b == 0 || !idx.bounds[b - 1].admits(x), "{x} below bucket {b}");
+            }
+        }
+        (ops.cmps, ref_ops.cmps)
+    }
+
+    /// Buckets: `<10 | {10} | (10, 30] | (30, 50) | [50, 60] | > 60` — an
+    /// equality class carved by a resolved probe, inclusive and exclusive
+    /// splitters.
+    fn bounds() -> Vec<SepBound<u64>> {
+        vec![
+            SepBound::lt(10),
+            SepBound::le(10),
+            SepBound::le(30),
+            SepBound::lt(50),
+            SepBound::le(60),
+        ]
+    }
+
+    fn resident() -> Vec<u64> {
+        (0..400u64).map(|i| i.wrapping_mul(37) % 80).chain([10; 7]).collect()
+    }
+
+    #[test]
+    fn pruned_delete_matches_the_full_scan() {
+        let (indexed, delta) = (resident(), vec![3, 10, 45, 95, 96, 10, 61]);
+        let cases: [&[u64]; 9] = [
+            &[21, 22, 25],    // confined to one bucket
+            &[30, 50],        // equal to an inclusive and an exclusive splitter
+            &[10],            // the (10,<)(10,≤) equality class
+            &[9, 10, 11],     // around the equality class
+            &[95, 96],        // present only in the delta run
+            &[80, 81, 1000],  // absent everywhere
+            &[0, 60, 61, 79], // bucket edges at both ends
+            &[],              // nothing
+            &[3, 10, 30, 45, 50, 61, 70, 95],
+        ];
+        for sorted in cases {
+            let (pruned, full) =
+                assert_pruned_matches_full_scan(&indexed, &delta, &bounds(), sorted);
+            assert!(pruned <= full, "pruning added comparisons for {sorted:?}");
+        }
+    }
+
+    #[test]
+    fn pruned_delete_matches_the_full_scan_on_random_lists() {
+        let (indexed, delta) = (resident(), vec![1, 10, 33, 50, 77, 90]);
+        let mut state = 7u64;
+        for _ in 0..200 {
+            let mut sorted: Vec<u64> = (0..(state % 9))
+                .map(|_| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (state >> 33) % 100
+                })
+                .collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_pruned_matches_full_scan(&indexed, &delta, &bounds(), &sorted);
+        }
+    }
+
+    #[test]
+    fn unindexed_delete_compacts_in_order() {
+        let mut data = vec![5u64, 1, 5, 2, 9, 1];
+        let mut ops = OpCount::new();
+        assert!(compact_shard(&mut data, None, &[1, 5], &mut ops).is_empty());
+        assert_eq!(data, vec![2, 9]);
+        assert_eq!(ops.moves, 2);
+    }
+
+    #[test]
+    fn untouched_buckets_are_never_searched() {
+        // One deleted value in the last bucket: the earlier buckets cost
+        // only the cut searches, not a search per element.
+        let indexed = resident();
+        let (pruned, full) = assert_pruned_matches_full_scan(&indexed, &[], &bounds(), &[70]);
+        let last_bucket = indexed.iter().filter(|&&x| x > 60).count() as u64;
+        assert!(pruned <= bounds().len() as u64 + 2 * last_bucket, "{pruned} comparisons");
+        assert!(pruned < full / 2, "pruned {pruned} vs full {full}");
     }
 }

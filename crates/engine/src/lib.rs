@@ -637,9 +637,7 @@ impl<T: Key> Engine<T> {
         // move to the shards, so sketch-rung batches never need a
         // collective to stay current.
         for chunk in &chunks {
-            for &x in chunk {
-                self.sketch.offer(x);
-            }
+            self.sketch.extend(chunk);
         }
         // The host's delta mirror sees the same elements: the index keeps
         // serving exactly through the pending delta without a collective.
@@ -670,6 +668,13 @@ impl<T: Key> Engine<T> {
     /// how many elements were removed. The bucket index and its histogram
     /// are maintained in place; shard sketches are rebuilt and the
     /// watermark is checked afterwards.
+    ///
+    /// A shard's cost scales with the buckets whose splitter range holds a
+    /// deleted value, plus its delta run and its sketch rebuild: buckets
+    /// holding none of the values are moved down whole, never searched.
+    /// Each shard's reply is checked against the host index before it is
+    /// applied; a malformed one fails with a typed
+    /// [`RunError::WireProtocol`] backend error.
     pub fn delete(&mut self, values: &[T]) -> Result<MutationReport, EngineError> {
         if values.is_empty() || self.total == 0 {
             return Ok(MutationReport { elements: 0, rebalanced: false });
@@ -677,10 +682,8 @@ impl<T: Key> Engine<T> {
         let mut sorted = values.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        // One compacting pass per shard; every comparison of the
-        // per-element binary search and every element move is counted,
-        // matching how the selection kernels charge their measured work.
         let results = self.backend.delete(sorted.clone())?;
+        check_deletions(&self.shard_sizes, self.index.as_ref(), &results)?;
         let before = self.total;
         let (sizes, removed): (Vec<u64>, Vec<Vec<u64>>) =
             results.into_iter().map(|d| (d.remaining, d.removed)).unzip();
@@ -1441,6 +1444,52 @@ enum CountRoute {
     Backend,
 }
 
+/// Checks the shards' deletion replies against the host's view before any
+/// of them is applied, so a malformed reply (say, from an out-of-process
+/// worker) fails with a typed error instead of panicking or underflowing a
+/// count. There must be one reply per shard, and no shard may grow. With an
+/// index, each reply holds one count per bucket plus the delta run's, the
+/// counts add up to the shard's shrinkage, and no bucket or delta count,
+/// summed over the shards, exceeds the cached one.
+fn check_deletions<T: Key>(
+    shard_sizes: &[u64],
+    index: Option<&GlobalIndex<T>>,
+    replies: &[ShardDeletion],
+) -> Result<(), EngineError> {
+    let violation = |rank: usize, detail: String| {
+        Err(EngineError::Backend(BackendError::Runtime(RunError::WireProtocol { rank, detail })))
+    };
+    if replies.len() != shard_sizes.len() {
+        let rank = replies.len().min(shard_sizes.len());
+        let detail = format!("{} delete replies for {} shards", replies.len(), shard_sizes.len());
+        return violation(rank, detail);
+    }
+    let mut left = index.map(|g| (g.counts.clone(), g.delta_total));
+    for (rank, (reply, &size)) in replies.iter().zip(shard_sizes).enumerate() {
+        let Some(gone) = size.checked_sub(reply.remaining) else {
+            return violation(rank, format!("{} elements remain of {size}", reply.remaining));
+        };
+        let Some((counts, delta)) = left.as_mut() else { continue };
+        if reply.removed.len() != counts.len() + 1 {
+            let detail =
+                format!("{} removal counts for {} buckets", reply.removed.len(), counts.len());
+            return violation(rank, detail);
+        }
+        if reply.removed.iter().sum::<u64>() != gone {
+            return violation(rank, format!("removal counts do not sum to {gone}"));
+        }
+        for (b, (have, &c)) in
+            counts.iter_mut().chain(std::iter::once(delta)).zip(&reply.removed).enumerate()
+        {
+            let Some(rest) = have.checked_sub(c) else {
+                return violation(rank, format!("{c} removals from slot {b} holding {have}"));
+            };
+            *have = rest;
+        }
+    }
+    Ok(())
+}
+
 /// Extracts the selected probes as a dense sub-list plus, per original
 /// probe, its position in that sub-list.
 fn sublist<T: Copy>(
@@ -1702,6 +1751,7 @@ fn assemble_count<T: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgselect_seqsel::SepBound;
 
     fn free_cfg(p: usize) -> EngineConfig {
         EngineConfig::new(p).model(MachineModel::free())
@@ -1807,6 +1857,46 @@ mod tests {
         assert_eq!(engine.len(), 4);
         let report = engine.execute(&[Query::TopK(4)]).unwrap();
         assert_eq!(report.answers[0], Answer::Top(vec![1, 2, 3, 4]));
+    }
+
+    #[test]
+    fn malformed_deletion_replies_fail_typed() {
+        // Buckets `≤ 10 | > 10` holding 3 and 2 elements, plus one delta
+        // element; shard 0 holds 4 of the 6, shard 1 the other 2.
+        let mut g: GlobalIndex<u64> = GlobalIndex::from_shard_stats(
+            vec![SepBound::le(10)],
+            &[vec![(3, Some((1, 5))), (0, None)], vec![(0, None), (2, Some((20, 30)))]],
+        );
+        g.note_ingest([4]);
+        let sizes = [4u64, 2];
+        let reply = |remaining: u64, removed: &[u64]| ShardDeletion {
+            remaining,
+            removed: removed.to_vec(),
+        };
+        let check = |replies: &[ShardDeletion]| check_deletions(&sizes, Some(&g), replies);
+        assert!(check(&[reply(2, &[1, 0, 1]), reply(0, &[0, 2, 0])]).is_ok());
+        let bad: [(&str, Vec<ShardDeletion>, usize); 8] = [
+            ("reply count", vec![reply(4, &[0, 0, 0])], 1),
+            ("short", vec![reply(3, &[1, 0]), reply(2, &[0, 0, 0])], 0),
+            ("long", vec![reply(4, &[0, 0, 0]), reply(2, &[0, 0, 0, 0])], 1),
+            ("bucket over", vec![reply(0, &[0, 3, 1]), reply(2, &[0, 0, 0])], 0),
+            ("summed over", vec![reply(2, &[0, 2, 0]), reply(1, &[0, 1, 0])], 1),
+            ("delta over", vec![reply(2, &[0, 0, 2]), reply(2, &[0, 0, 0])], 0),
+            ("grew", vec![reply(4, &[0, 0, 0]), reply(3, &[0, 0, 0])], 1),
+            ("bad sum", vec![reply(3, &[0, 0, 0]), reply(2, &[0, 0, 0])], 0),
+        ];
+        for (what, replies, want_rank) in bad {
+            match check(&replies) {
+                Err(EngineError::Backend(BackendError::Runtime(RunError::WireProtocol {
+                    rank,
+                    ..
+                }))) => assert_eq!(rank, want_rank, "{what}"),
+                other => panic!("{what}: expected a wire-protocol error, got {other:?}"),
+            }
+        }
+        // Without an index only the sizes are checked.
+        assert!(check_deletions::<u64>(&sizes, None, &[reply(1, &[]), reply(2, &[9])]).is_ok());
+        assert!(check_deletions::<u64>(&sizes, None, &[reply(5, &[])]).is_err());
     }
 
     #[test]

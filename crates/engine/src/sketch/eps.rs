@@ -73,9 +73,7 @@ impl<T: Key> EpsSketch<T> {
     /// Builds a sketch of `data` by offering every element in order.
     pub fn from_data(k: usize, data: &[T]) -> Self {
         let mut s = EpsSketch::new(k);
-        for &x in data {
-            s.offer(x);
-        }
+        s.extend(data);
         s
     }
 
@@ -92,8 +90,15 @@ impl<T: Key> EpsSketch<T> {
     /// Offers one element. Deterministic: equal offer streams produce
     /// bit-identical sketches.
     pub fn offer(&mut self, x: T) {
-        self.n += 1;
-        if self.k == 0 {
+        self.extend(std::slice::from_ref(&x));
+    }
+
+    /// Offers every element of `items` in order: level 0 fills by slices,
+    /// each running up to the next compaction, so the state is the same
+    /// however the stream is sliced across calls.
+    pub(crate) fn extend(&mut self, items: &[T]) {
+        self.n += items.len() as u64;
+        if self.k == 0 || items.is_empty() {
             return;
         }
         self.view = None;
@@ -101,9 +106,18 @@ impl<T: Key> EpsSketch<T> {
             self.levels.push(Vec::with_capacity(self.k));
             self.parities.push(false);
         }
-        self.levels[0].push(x);
-        if self.levels[0].len() >= self.k {
-            self.compact(0);
+        let mut rest = items;
+        while !rest.is_empty() {
+            // Level 0 compacts as soon as it reaches `k`; a level already
+            // at or past `k` (`k = 1`, or a decoded state) compacts after
+            // one more item.
+            let room = self.k.saturating_sub(self.levels[0].len()).max(1);
+            let (head, tail) = rest.split_at(room.min(rest.len()));
+            self.levels[0].extend_from_slice(head);
+            rest = tail;
+            if self.levels[0].len() >= self.k {
+                self.compact(0);
+            }
         }
     }
 
@@ -153,21 +167,26 @@ impl<T: Key> EpsSketch<T> {
             self.levels.push(Vec::new());
             self.parities.push(false);
         }
-        let mut buf = std::mem::take(&mut self.levels[h]);
-        buf.sort_unstable();
+        let (lower, upper) = self.levels.split_at_mut(h + 1);
+        let (buf, next) = (&mut lower[h], &mut upper[0]);
+        // Level 0 holds offers in arrival order, where the unstable sort is
+        // fastest. A higher level is a concatenation of sorted promoted runs
+        // (plus at most one held-back item), which the run-adaptive stable
+        // sort merges in linear time. Ord-equal keys are bit-identical, so
+        // both sorts leave the same sequence.
+        if h == 0 {
+            buf.sort_unstable();
+        } else {
+            buf.sort();
+        }
         // An odd survivor stays at this level so promotion always pairs
         // items; mass is conserved either way.
-        if buf.len() % 2 == 1 {
-            let stay = buf.pop().expect("nonempty odd buffer");
-            self.levels[h].push(stay);
-        }
+        let stay = if buf.len() % 2 == 1 { buf.pop() } else { None };
         let parity = self.parities[h];
         self.parities[h] = !parity;
-        let mut i = usize::from(parity);
-        while i < buf.len() {
-            self.levels[h + 1].push(buf[i]);
-            i += 2;
-        }
+        next.extend(buf.iter().skip(usize::from(parity)).step_by(2).copied());
+        buf.clear();
+        buf.extend(stay);
         self.err += 1u64 << h;
         if self.levels[h + 1].len() >= self.k {
             self.compact(h + 1);
@@ -323,6 +342,7 @@ impl<T: Key> EpsSketch<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgselect_runtime::OrdF64;
 
     fn oracle_rank(sorted: &[u64], v: u64, inclusive: bool) -> u64 {
         if inclusive {
@@ -452,6 +472,110 @@ mod tests {
         assert_eq!(s.population(), 100);
         assert!(s.levels.is_empty());
         assert!(s.quantile_points(8).is_empty());
+    }
+
+    /// A deterministic stream with many duplicates (so equal keys meet in
+    /// every compaction).
+    fn stream(len: usize, seed: u64) -> Vec<u64> {
+        (0..len as u64).map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54).collect()
+    }
+
+    /// Floats covering signed zeros, infinities and NaNs: all distinct
+    /// under `total_cmp`, so any sort that confused them would show.
+    fn float_stream(len: usize, seed: u64) -> Vec<OrdF64> {
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN, 1.5];
+        stream(len, seed)
+            .into_iter()
+            .map(|x| {
+                let i = x as usize % (specials.len() + 3);
+                OrdF64(specials.get(i).copied().unwrap_or(x as f64 - 500.0))
+            })
+            .collect()
+    }
+
+    /// The reference sketch: one element at a time, `sort_unstable` at
+    /// every level. Bulk filling and the upper levels' merging sort must
+    /// reproduce its state bit for bit.
+    fn offered_reference<T: Key>(k: usize, items: &[T]) -> EpsSketch<T> {
+        fn compact<T: Key>(s: &mut EpsSketch<T>, h: usize) {
+            if s.levels.len() <= h + 1 {
+                s.levels.push(Vec::new());
+                s.parities.push(false);
+            }
+            let mut buf = std::mem::take(&mut s.levels[h]);
+            buf.sort_unstable();
+            if buf.len() % 2 == 1 {
+                s.levels[h].push(buf.pop().expect("odd buffer"));
+            }
+            let parity = s.parities[h];
+            s.parities[h] = !parity;
+            s.levels[h + 1].extend(buf.iter().skip(usize::from(parity)).step_by(2));
+            s.err += 1 << h;
+            if s.levels[h + 1].len() >= s.k {
+                compact(s, h + 1);
+            }
+        }
+        let mut s = EpsSketch::new(k);
+        for &x in items {
+            s.n += 1;
+            if k == 0 {
+                continue;
+            }
+            if s.levels.is_empty() {
+                s.levels.push(Vec::new());
+                s.parities.push(false);
+            }
+            s.levels[0].push(x);
+            if s.levels[0].len() >= k {
+                compact(&mut s, 0);
+            }
+        }
+        s
+    }
+
+    /// Offers `prefix` one by one, then feeds `items` through `extend` in
+    /// slices whose lengths cycle through `cuts` (zero-length ones too).
+    fn extended<T: Key>(k: usize, prefix: &[T], items: &[T], cuts: &[usize]) -> EpsSketch<T> {
+        let mut s = EpsSketch::new(k);
+        for &x in prefix {
+            s.offer(x);
+        }
+        let mut rest = items;
+        for &c in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at(c.min(rest.len()));
+            s.extend(head);
+            rest = tail;
+        }
+        s
+    }
+
+    fn assert_extend_matches_the_reference<T: Key>(make: impl Fn(usize, u64) -> Vec<T>) {
+        let slicings: [&[usize]; 4] = [&[usize::MAX], &[1], &[0, 3, 1, 7], &[5, 2048, 13]];
+        for k in [0usize, 1, 2, 3, 7, 2048] {
+            let lens = [0, 1, k.saturating_sub(1), k, k + 1, 5 * k + 3, 10_000];
+            for (case, &len) in lens.iter().enumerate() {
+                let items = make(len, case as u64);
+                // Mid-stream too: a prefix leaves level 0 partly full.
+                for prefix in [Vec::new(), make(k / 2 + 1, 99)] {
+                    let all: Vec<T> = prefix.iter().chain(&items).copied().collect();
+                    let want = offered_reference(k, &all);
+                    for cuts in slicings {
+                        let got = extended(k, &prefix, &items, cuts);
+                        assert!(got == want, "k={k} len={len} cuts={cuts:?}: state differs");
+                        assert_eq!(got.to_bytes(), want.to_bytes(), "k={k} len={len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extend_matches_the_one_by_one_reference_exactly() {
+        assert_extend_matches_the_reference(stream);
+        assert_extend_matches_the_reference(float_stream);
     }
 
     #[test]
