@@ -15,18 +15,20 @@
 //!   only. Answers from the two modes are compared on the fly: a kernel
 //!   that changes an answer fails the run outright.
 //!
-//! Outputs `results/engine_wall.{csv,txt}` plus machine-readable
-//! `BENCH_wall.json` at the workspace root. Pass `--check` to gate:
+//! Outputs `results/engine_wall.{csv,txt}`. Pass `--check` to gate:
 //! absolute speedup floors (count_below u64 and partition >= 1.5x, e2e
-//! LocalSpmd >= 1.1x) and, when a committed `BENCH_wall.json` exists from
-//! a previous run, no speedup ratio may fall below 75% of its committed
-//! value — the noise-tolerant CI wall-time regression guard. Ratios (not
-//! absolute times) are gated so the guard is portable across machines.
+//! LocalSpmd >= 1.1x) and, when a committed `BENCH_wall.json` exists at
+//! the workspace root, no speedup ratio may fall below 75% of its
+//! committed value — the noise-tolerant CI wall-time regression guard.
+//! Ratios (not absolute times) are gated so the guard is portable across
+//! machines. `--check` only reads the baseline; pass `--update-baseline`
+//! to write this run's measurements into `BENCH_wall.json` (a deliberate,
+//! committed change).
 
 use std::time::Instant;
 
 use cgselect_bench::chart::{markdown_table, write_csv, write_text};
-use cgselect_bench::{quick_mode, results_dir};
+use cgselect_bench::{quick_mode, results_dir, workspace_root};
 use cgselect_engine::{
     BackendChoice, Bounds, ChannelMpTuning, Engine, EngineConfig, Request, Response,
 };
@@ -38,6 +40,10 @@ use cgselect_workloads::{generate, Distribution};
 
 fn check_mode() -> bool {
     std::env::args().any(|a| a == "--check")
+}
+
+fn update_baseline_mode() -> bool {
+    std::env::args().any(|a| a == "--update-baseline")
 }
 
 /// Wall seconds of the best (minimum) of `reps` runs of `f` — minimum, not
@@ -235,7 +241,7 @@ fn write_json(path: &std::path::Path, n: usize, quick: bool, measures: &[Measure
 fn main() {
     let quick = quick_mode();
     let dir = results_dir();
-    let json_path = dir.join("..").join("BENCH_wall.json");
+    let json_path = workspace_root().join("BENCH_wall.json");
     let baseline = read_baseline(&json_path);
 
     let n: usize = if quick { 1 << 18 } else { 1 << 20 };
@@ -310,8 +316,11 @@ fn main() {
     write_text(&dir.join("engine_wall.txt"), &out);
     print!("{out}");
 
-    write_json(&json_path, n, quick, &measures);
-    println!("wallclock -> {}/engine_wall.{{csv,txt}} + BENCH_wall.json", dir.display());
+    println!("wallclock -> {}/engine_wall.{{csv,txt}}", dir.display());
+    if update_baseline_mode() {
+        write_json(&json_path, n, quick, &measures);
+        println!("baseline updated -> {}", json_path.display());
+    }
 
     if check_mode() {
         let mut ok = true;

@@ -38,11 +38,26 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
+/// The workspace root, resolved at run time: the nearest ancestor of the
+/// current directory whose `Cargo.toml` declares a `[workspace]` (the
+/// current directory itself when none does). Resolving it at run time, not
+/// from the build's source path, makes a relocated checkout write into
+/// itself.
+pub fn workspace_root() -> std::path::PathBuf {
+    let cwd = std::env::current_dir().expect("current directory must resolve");
+    cwd.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .unwrap_or(&cwd)
+        .to_path_buf()
+}
+
 /// The directory experiment outputs are written to (`results/` at the
-/// workspace root), created on demand.
+/// [`workspace_root`]), created on demand.
 pub fn results_dir() -> std::path::PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench; results live at the workspace root.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("results");
+    let dir = workspace_root().join("results");
     std::fs::create_dir_all(&dir).expect("cannot create results directory");
     dir.canonicalize().expect("results directory must resolve")
 }

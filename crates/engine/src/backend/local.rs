@@ -98,21 +98,10 @@ impl<T: Key> ExecBackend<T> for LocalSpmd<T> {
     fn build_index(
         &mut self,
         buckets: usize,
-    ) -> Result<(Vec<cgselect_seqsel::SepBound<T>>, Vec<BucketStats<T>>), BackendError> {
-        let per_proc = self.session.run(move |proc, store| {
+    ) -> Result<Vec<(Vec<cgselect_seqsel::SepBound<T>>, BucketStats<T>)>, BackendError> {
+        Ok(self.session.run(move |proc, store| {
             ops::build_index_shard(proc, Self::shard_mut(store), buckets)
-        })?;
-        let mut bounds = Vec::new();
-        let mut stats = Vec::with_capacity(per_proc.len());
-        for (rank, (b, s)) in per_proc.into_iter().enumerate() {
-            if rank == 0 {
-                bounds = b;
-            } else {
-                debug_assert_eq!(bounds, b, "splitter bounds must agree across shards");
-            }
-            stats.push(s);
-        }
-        Ok((bounds, stats))
+        })?)
     }
 
     fn merge_delta(&mut self) -> Result<Vec<BucketStats<T>>, BackendError> {

@@ -248,6 +248,11 @@ pub struct BatchPlan<T> {
     /// [`PhaseSpan`]s; `None` keeps execution span-free (and byte-for-byte
     /// identical in collective structure either way).
     pub trace: Option<TraceContext>,
+    /// Splitters the host dropped to coarsen the index before routing this
+    /// batch (strictly ascending indices into the shared splitter vector).
+    /// Every shard drops the same ones before anything else runs, so the
+    /// groups above index the coarsened buckets.
+    pub(crate) drops: Arc<Vec<usize>>,
 }
 
 /// Per-phase collective-operation deltas of one executed batch (identical
@@ -342,14 +347,14 @@ pub trait ExecBackend<T: Key>: Send {
     fn rebalance(&mut self) -> Result<Vec<u64>, BackendError>;
 
     /// (Re)builds the shared-splitter bucket index with the given target
-    /// bucket count and returns the shared splitter vector (identical on
-    /// every shard by construction; the host mirrors it) plus each shard's
-    /// per-bucket summary.
+    /// bucket count and returns, per shard, the splitter vector it derived
+    /// plus its per-bucket summary. The splitters are identical on every
+    /// shard by construction; the engine checks that before mirroring them.
     #[allow(clippy::type_complexity)]
     fn build_index(
         &mut self,
         buckets: usize,
-    ) -> Result<(Vec<SepBound<T>>, Vec<BucketStats<T>>), BackendError>;
+    ) -> Result<Vec<(Vec<SepBound<T>>, BucketStats<T>)>, BackendError>;
 
     /// Folds each shard's delta run into its buckets and returns the
     /// per-shard delta summaries.

@@ -20,8 +20,7 @@ use cgselect_seqsel::{
 };
 
 use crate::index::{
-    bucket_stats, build_shard_index, refined_bounds, splitters_from_samples, BucketStats,
-    ShardIndex,
+    bucket_stats, build_shard_index, refine_region, splitters_from_samples, BucketStats, ShardIndex,
 };
 use crate::obs::{Phase, PhaseSpan};
 use crate::sketch::EpsSketch;
@@ -277,8 +276,9 @@ fn count_probes_shard<T: Key>(
 }
 
 /// Batch execution: the whole per-shard half of [`crate::Engine::run`]
-/// — the vectorized value-probe Combine, delta localization, borrowed
-/// candidate windows, the lockstep multi-select, and answer refinement.
+/// — index coarsening, the vectorized value-probe Combine, delta
+/// localization, borrowed candidate windows, the lockstep multi-select, and
+/// answer refinement.
 /// (Sketch-served answers are computed host-side off the global ε-sketch
 /// and never reach the backend; the sketch phase bracket survives only so
 /// the span schema stays stable, always at zero collectives.) The measured
@@ -293,6 +293,27 @@ pub(crate) fn execute_shard<T: Key>(
     let n_exact = plan.exact_ranks.len();
     let run_full = !plan.use_index && n_exact > 0;
     let delta_total = plan.delta_total;
+
+    // Coarsening first: the host routed this batch against the coarsened
+    // buckets. Dropping a splitter merges two adjacent buckets of the
+    // bucket-ordered prefix, so nothing moves and nothing is scanned.
+    if let Some(idx) = shard.index.as_mut() {
+        idx.drop_splitters(&plan.drops);
+    }
+    // A plan that only coarsens (the host served the whole batch) runs no
+    // collective at all.
+    if plan.groups.is_empty() && plan.value_probes.is_empty() && !run_full {
+        return ShardBatchOutcome {
+            exact: vec![None; n_exact],
+            refines: Vec::new(),
+            probe_refines: Vec::new(),
+            probe_counts: Vec::new(),
+            phase_ops: PhaseOps::default(),
+            comm: Default::default(),
+            elapsed: 0.0,
+            spans: Vec::new(),
+        };
+    }
     // Span measurement rides on snapshots that were already taken for the
     // per-phase op deltas; the begin/end brackets charge no time and no
     // collectives, so execution with spans on is indistinguishable — in
@@ -398,10 +419,7 @@ pub(crate) fn execute_shard<T: Key>(
         for (g, group) in plan.groups.iter().enumerate().rev() {
             let answers: Vec<T> =
                 group.out.iter().map(|&slot| exact[slot].expect("group rank resolved")).collect();
-            let lower = (group.lo > 0).then(|| idx.bounds[group.lo - 1]);
-            let upper = (group.hi < idx.bounds.len()).then(|| idx.bounds[group.hi]);
-            let new_bounds =
-                refined_bounds(&idx.bounds[group.lo..group.hi], &answers, lower, upper);
+            let new_bounds = refine_region(&idx.bounds, group.lo, group.hi, &answers);
             let base = idx.offsets[group.lo];
             let range = &mut indexed_part[base..idx.offsets[group.hi + 1]];
             let mut ops = OpCount::new();
@@ -443,9 +461,7 @@ pub(crate) fn execute_shard<T: Key>(
             for &(v, _) in plan.value_probes.iter() {
                 let mut ops = OpCount::new();
                 let b = bucket_of(&idx.bounds, &v, &mut ops);
-                let lower = (b > 0).then(|| idx.bounds[b - 1]);
-                let upper = (b < idx.bounds.len()).then(|| idx.bounds[b]);
-                let inserted = refined_bounds(&[], &[v], lower, upper);
+                let inserted = refine_region(&idx.bounds, b, b, &[v]);
                 if inserted.is_empty() {
                     proc.charge_ops(ops.total());
                     continue;
@@ -776,6 +792,38 @@ mod tests {
         assert!(compact_shard(&mut data, None, &[1, 5], &mut ops).is_empty());
         assert_eq!(data, vec![2, 9]);
         assert_eq!(ops.moves, 2);
+    }
+
+    #[test]
+    fn drops_only_plans_coarsen_without_communicating() {
+        use std::sync::Arc;
+        let per_rank = cgselect_runtime::Machine::new(2)
+            .run(|proc| {
+                let mut shard = init_shard::<u64>(64);
+                let mine = (0..500u64).map(|i| (i * 7 + proc.rank() as u64) % 1000).collect();
+                ingest_shard(proc, &mut shard, mine);
+                build_index_shard(proc, &mut shard, 8);
+                let splitters = shard.index.as_ref().expect("built").bounds.len();
+                let plan = BatchPlan {
+                    groups: Arc::new(Vec::new()),
+                    exact_ranks: Arc::new(crate::RankSet::default()),
+                    value_probes: Arc::new(Vec::new()),
+                    selection: Default::default(),
+                    use_index: true,
+                    full_total: 1000,
+                    delta_total: 0,
+                    trace: None,
+                    drops: Arc::new(vec![0, 2]),
+                };
+                let before = proc.comm_stats();
+                execute_shard(proc, &mut shard, &plan, 1);
+                let sent = proc.comm_stats().since(&before).msgs_sent;
+                (splitters, shard.index.expect("kept").bounds.len(), sent)
+            })
+            .unwrap();
+        for (splitters, after, sent) in per_rank {
+            assert_eq!((after, sent), (splitters - 2, 0), "{splitters} splitters before");
+        }
     }
 
     #[test]

@@ -40,11 +40,13 @@ use crossbeam::channel::Receiver;
 use super::ops::{self, Shard};
 use super::wire::{Reader, WireResult, Writer};
 use super::{BackendError, BatchPlan, PhaseOps, ShardBatchOutcome, ShardDeletion};
+use crate::index::check_drops;
 
 /// Protocol revision carried in every frame header. Revision 2 added the
 /// splitter bounds to the BUILD_INDEX reply and the probe-refinement stats
-/// to the EXECUTE reply.
-pub(crate) const WIRE_VERSION: u8 = 2;
+/// to the EXECUTE reply; revision 3 added the coarsening drop list to the
+/// EXECUTE command.
+pub(crate) const WIRE_VERSION: u8 = 3;
 
 /// Size of the frame header (`version` byte + `seq` u64).
 pub(crate) const FRAME_HEADER_BYTES: usize = 9;
@@ -304,6 +306,10 @@ pub(crate) fn encode_execute<T: Key>(plan: &BatchPlan<T>) -> Vec<u8> {
     for g in plan.groups.iter() {
         w.group(g);
     }
+    w.usize(plan.drops.len());
+    for &d in plan.drops.iter() {
+        w.usize(d);
+    }
     w.trace_context(&plan.trace);
     w.into_frame()
 }
@@ -321,6 +327,8 @@ pub(crate) fn decode_execute<T: Key>(
     let value_probes = r.probes::<T>()?;
     let group_count = r.usize()?;
     let groups = (0..group_count).map(|_| r.group()).collect::<WireResult<_>>()?;
+    let drop_count = r.usize()?;
+    let drops = (0..drop_count).map(|_| r.usize()).collect::<WireResult<_>>()?;
     let trace = r.trace_context()?;
     Ok(BatchPlan {
         groups: std::sync::Arc::new(groups),
@@ -331,6 +339,7 @@ pub(crate) fn decode_execute<T: Key>(
         full_total,
         delta_total,
         trace,
+        drops: std::sync::Arc::new(drops),
     })
 }
 
@@ -450,6 +459,11 @@ pub(crate) fn run_command<T: Key>(
         Some(CMD_EXECUTE) => {
             let plan = decode_execute::<T>(&mut r, &cfg.selection).map_err(wire)?;
             r.finish().map_err(wire)?;
+            // Checked before any collective: every shard holds the same
+            // splitters, so a bad list fails on all of them alike.
+            let nbounds = shard.index.as_ref().map_or(0, |idx| idx.bounds.len());
+            check_drops(&plan.drops, nbounds)
+                .map_err(|detail| RunError::WireProtocol { rank: cfg.rank, detail })?;
             if panic_now {
                 // Mid-batch: enter the batch's opening barrier (so the
                 // peers are committed to the collective pass), then die.
@@ -649,6 +663,52 @@ mod tests {
                 prop_assert_eq!(err, BackendError::WorkerUnresponsive { rank: 7 });
             }
         }
+    }
+
+    #[test]
+    fn malformed_drop_lists_fail_typed_on_the_worker() {
+        use std::sync::Arc;
+        let mut proc = cgselect_runtime::Machine::new(1).procs().pop().expect("one proc");
+        let cfg = WorkerConfig {
+            rank: 0,
+            sketch_capacity: 64,
+            selection: SelectionConfig::default(),
+            balancer: Balancer::GlobalExchange,
+        };
+        let mut shard = ops::init_shard::<u64>(cfg.sketch_capacity);
+        let mut run = |shard: &mut Shard<u64>, body: Vec<u8>| {
+            run_command::<u64>(&mut proc, shard, &cfg, &body, false)
+        };
+        let drops_only = |drops: Vec<usize>| {
+            encode_execute(&BatchPlan::<u64> {
+                groups: Arc::new(Vec::new()),
+                exact_ranks: Arc::new(crate::RankSet::default()),
+                value_probes: Arc::new(Vec::new()),
+                selection: SelectionConfig::default(),
+                use_index: true,
+                full_total: 1000,
+                delta_total: 0,
+                trace: None,
+                drops: Arc::new(drops),
+            })
+        };
+        // Without an index any drop is out of range.
+        assert!(run(&mut shard, drops_only(vec![0])).is_err());
+        run(&mut shard, encode_ingest(&(0..1000u64).collect::<Vec<_>>())).unwrap();
+        run(&mut shard, encode_build_index(8)).unwrap();
+        let nbounds = shard.index.as_ref().expect("built").bounds.len();
+        assert!(nbounds >= 4, "{nbounds} splitters");
+        for bad in [vec![1, 0], vec![2, 2], vec![0, nbounds]] {
+            match run(&mut shard, drops_only(bad.clone())) {
+                Err(RunError::WireProtocol { rank: 0, .. }) => {}
+                other => panic!("{bad:?}: expected a wire-protocol error, got {other:?}"),
+            }
+            assert_eq!(shard.index.as_ref().unwrap().bounds.len(), nbounds, "{bad:?} applied");
+        }
+        // A well-formed list applies before execution.
+        run(&mut shard, drops_only(vec![0, 2])).unwrap();
+        let idx = shard.index.as_ref().unwrap();
+        assert_eq!((idx.bounds.len(), idx.offsets.len()), (nbounds - 2, nbounds));
     }
 
     #[test]

@@ -725,21 +725,10 @@ impl<T: Key> ExecBackend<T> for SocketMp<T> {
     fn build_index(
         &mut self,
         buckets: usize,
-    ) -> Result<(Vec<cgselect_seqsel::SepBound<T>>, Vec<BucketStats<T>>), BackendError> {
+    ) -> Result<Vec<(Vec<cgselect_seqsel::SepBound<T>>, BucketStats<T>)>, BackendError> {
         let payloads =
             self.round_trip(self.broadcast_frames(protocol::encode_build_index(buckets)))?;
-        let pairs = self.decode_all(payloads, protocol::decode_index_build_reply::<T>)?;
-        let mut bounds = Vec::new();
-        let mut stats = Vec::with_capacity(pairs.len());
-        for (rank, (b, s)) in pairs.into_iter().enumerate() {
-            if rank == 0 {
-                bounds = b;
-            } else {
-                debug_assert_eq!(bounds, b, "splitter bounds must agree across shards");
-            }
-            stats.push(s);
-        }
-        Ok((bounds, stats))
+        self.decode_all(payloads, protocol::decode_index_build_reply::<T>)
     }
 
     fn merge_delta(&mut self) -> Result<Vec<BucketStats<T>>, BackendError> {

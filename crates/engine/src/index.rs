@@ -29,6 +29,16 @@
 //!   answer's exact equality class. The next batch asking the same (or a
 //!   nearby) quantile finds a constant candidate bucket and takes the fast
 //!   path.
+//! * **Coarsening in place** — refinement only adds splitters. Once the
+//!   bucket count passes the cap, the host picks splitters to drop in one
+//!   pass over the exact merged bucket masses
+//!   ([`GlobalIndex::coarsening_drops`], regular sampling applied to the
+//!   exact histogram instead of a sample) and ships the drop list with
+//!   the next batch plan. Adjacent buckets are already contiguous in every
+//!   shard's bucket-ordered prefix, so a drop removes one splitter and one
+//!   offset ([`ShardIndex::drop_splitters`]): no element moves and no
+//!   collective runs. Full rebuilds are left to the operations that really
+//!   move or lose data (first build, rebalance, membership, recovery).
 //! * **Delta runs, rebased host-side** — ingest appends to an unindexed
 //!   tail on the shards *and* into a sorted host mirror
 //!   ([`GlobalIndex::delta_vals`]) that classifies each pending element
@@ -65,6 +75,40 @@ impl<T: Key> ShardIndex<T> {
     pub fn delta_start(&self) -> usize {
         *self.offsets.last().expect("offsets never empty")
     }
+
+    /// Merges buckets `d` and `d + 1` for every `d` in the strictly
+    /// ascending, in-range `drops` (see [`check_drops`]) by removing
+    /// `bounds[d]` and `offsets[d + 1]`. The two buckets are adjacent in
+    /// the bucket-ordered prefix, so no element moves.
+    pub(crate) fn drop_splitters(&mut self, drops: &[usize]) {
+        remove_sorted(&mut self.bounds, drops, 0);
+        remove_sorted(&mut self.offsets, drops, 1);
+    }
+}
+
+/// Checks a coarsening drop list against a splitter vector of `nbounds`
+/// entries: strictly ascending and every index in range. Workers run it on
+/// every decoded plan, so a malformed list is a typed error, never a panic.
+pub(crate) fn check_drops(drops: &[usize], nbounds: usize) -> Result<(), String> {
+    if let Some(w) = drops.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(format!("drop list not strictly ascending at {} then {}", w[0], w[1]));
+    }
+    match drops.last() {
+        Some(&d) if d >= nbounds => Err(format!("drop index {d} beyond {nbounds} splitters")),
+        _ => Ok(()),
+    }
+}
+
+/// Removes `v[d + shift]` for every `d` in the strictly ascending `drops`,
+/// in one pass.
+fn remove_sorted<X>(v: &mut Vec<X>, drops: &[usize], shift: usize) {
+    let mut next = drops.iter().map(|d| d + shift).peekable();
+    let mut i = 0;
+    v.retain(|_| {
+        let dropped = next.next_if_eq(&i).is_some();
+        i += 1;
+        !dropped
+    });
 }
 
 /// Per-bucket shard-local summary: `(count, Some((min, max)))` —
@@ -111,6 +155,22 @@ pub(crate) fn refined_bounds<T: Key>(
     v.dedup();
     v.retain(|&b| lower.is_none_or(|lo| b > lo) && upper.is_none_or(|hi| b < hi));
     v
+}
+
+/// The splitters that replace `bounds[lo..hi]` when the region of buckets
+/// `lo..=hi` is refined by `answers` (see [`refined_bounds`]; the region's
+/// outer bounds are `bounds[lo - 1]` and `bounds[hi]`). A value probe
+/// refines its own bucket `b` as the region `b..=b`. Shards and the host
+/// both refine through this, so their splitter vectors stay identical.
+pub(crate) fn refine_region<T: Key>(
+    bounds: &[SepBound<T>],
+    lo: usize,
+    hi: usize,
+    answers: &[T],
+) -> Vec<SepBound<T>> {
+    let lower = (lo > 0).then(|| bounds[lo - 1]);
+    let upper = (hi < bounds.len()).then(|| bounds[hi]);
+    refined_bounds(&bounds[lo..hi], answers, lower, upper)
 }
 
 /// One contiguous window of candidate buckets and the batch ranks routed
@@ -357,7 +417,11 @@ impl<T: Key> GlobalIndex<T> {
     /// elements sit in the shards' unindexed delta runs.
     pub fn note_ingest(&mut self, items: impl IntoIterator<Item = T>) {
         self.delta_vals.extend(items);
-        self.delta_vals.sort_unstable();
+        // The mirror is one sorted run followed by the new elements: the
+        // run-detecting stable sort sorts only the new ones and merges,
+        // instead of re-sorting the whole pending delta on every ingest.
+        // Ord-equal keys are bit-equal, so stability changes nothing.
+        self.delta_vals.sort();
         self.delta_total = self.delta_vals.len() as u64;
         self.reclassify_delta();
     }
@@ -399,9 +463,7 @@ impl<T: Key> GlobalIndex<T> {
     /// [`reclassify_delta`](Self::reclassify_delta) once all windows (in
     /// descending order) are done.
     pub fn refine_window_bounds(&mut self, lo: usize, hi: usize, answers: &[T]) {
-        let lower = (lo > 0).then(|| self.bounds[lo - 1]);
-        let upper = (hi < self.bounds.len()).then(|| self.bounds[hi]);
-        let new_bounds = refined_bounds(&self.bounds[lo..hi], answers, lower, upper);
+        let new_bounds = refine_region(&self.bounds, lo, hi, answers);
         self.bounds.splice(lo..hi, new_bounds);
     }
 
@@ -413,14 +475,68 @@ impl<T: Key> GlobalIndex<T> {
     /// the same deterministic test.
     pub fn refine_probe_bounds(&mut self, v: T) -> Option<usize> {
         let b = self.bounds.partition_point(|sb| !sb.admits(&v));
-        let lower = (b > 0).then(|| self.bounds[b - 1]);
-        let upper = (b < self.bounds.len()).then(|| self.bounds[b]);
-        let inserted = refined_bounds(&[], &[v], lower, upper);
+        let inserted = refine_region(&self.bounds, b, b, &[v]);
         if inserted.is_empty() {
             return None;
         }
         self.bounds.splice(b..b, inserted);
         Some(b)
+    }
+
+    /// Merged (indexed + pending delta) population of bucket `b`.
+    fn merged_count(&self, b: usize) -> u64 {
+        self.counts[b] + self.delta_offsets[b + 1] - self.delta_offsets[b]
+    }
+
+    /// Picks the splitters to drop so the bucket count falls back toward
+    /// `target_buckets`: one left-to-right pass over the exact merged
+    /// bucket masses that keeps a splitter only where adding the next bucket
+    /// would push the running mass past `⌈total / target_buckets⌉`. Every
+    /// bucket that merges two or more old ones stays within that mass, and
+    /// any two neighbouring merged buckets together exceed it, so at most
+    /// `2 · target_buckets` buckets remain. Returns strictly ascending
+    /// indices into `bounds`.
+    pub(crate) fn coarsening_drops(&self, target_buckets: usize) -> Vec<usize> {
+        let total = self.prefix[self.num_buckets()] + self.delta_total;
+        let limit = total.div_ceil(target_buckets.max(1) as u64);
+        let mut drops = Vec::new();
+        let mut run = self.merged_count(0);
+        for b in 1..self.num_buckets() {
+            let mass = self.merged_count(b);
+            if run + mass > limit {
+                run = mass;
+            } else {
+                drops.push(b - 1);
+                run += mass;
+            }
+        }
+        drops
+    }
+
+    /// Drops the splitters `drops` (strictly ascending) host-side: each
+    /// dropped `bounds[d]` merges buckets `d` and `d + 1` — counts add,
+    /// min/max widen — and the prefix sums and delta classification lose
+    /// the same entry. The shards apply the identical drops with
+    /// [`ShardIndex::drop_splitters`].
+    pub(crate) fn drop_splitters(&mut self, drops: &[usize]) {
+        let mut next = drops.iter().peekable();
+        let mut counts = Vec::with_capacity(self.counts.len() - drops.len());
+        let mut minmax = Vec::with_capacity(counts.capacity());
+        for (b, (&c, &mm)) in self.counts.iter().zip(&self.minmax).enumerate() {
+            if b > 0 && next.next_if_eq(&&(b - 1)).is_some() {
+                let last = counts.len() - 1;
+                counts[last] += c;
+                minmax[last] = merge_minmax(minmax[last], mm);
+            } else {
+                counts.push(c);
+                minmax.push(mm);
+            }
+        }
+        self.counts = counts;
+        self.minmax = minmax;
+        remove_sorted(&mut self.bounds, drops, 0);
+        remove_sorted(&mut self.delta_offsets, drops, 1);
+        self.rebuild_prefix();
     }
 
     /// Applies one refined window: buckets `lo..=hi` are replaced by the
@@ -756,6 +872,133 @@ mod tests {
                 SepBound::le(30)
             ]
         );
+    }
+
+    /// Deterministic pseudo-random stream for the coarsening tests.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// One shard's data and index.
+    type TestShard = (Vec<u64>, ShardIndex<u64>);
+
+    /// Two shards of `values` (alternating), bucket-ordered under `bounds`,
+    /// plus the host index assembled from their build summaries.
+    fn shards_and_host(
+        values: &[u64],
+        bounds: &[SepBound<u64>],
+    ) -> (Vec<TestShard>, GlobalIndex<u64>) {
+        let mut shards = Vec::new();
+        let mut stats = Vec::new();
+        for r in 0..2 {
+            let mut data: Vec<u64> = values.iter().skip(r).step_by(2).copied().collect();
+            let (idx, st) = build_shard_index(&mut data, bounds.to_vec(), &mut OpCount::new());
+            shards.push((data, idx));
+            stats.push(st);
+        }
+        (shards, GlobalIndex::from_shard_stats(bounds.to_vec(), &stats))
+    }
+
+    #[test]
+    fn coarsening_drops_are_ascending_in_range_and_bounded_by_mass() {
+        let mut state = 11u64;
+        for case in 0..200 {
+            let nb = 2 + (lcg(&mut state) % 300) as usize;
+            // Mostly light buckets, some empty, a few heavy ones.
+            let counts: Vec<u64> = (0..nb)
+                .map(|_| match lcg(&mut state) % 10 {
+                    0 => 0,
+                    1 => 500 + lcg(&mut state) % 5000,
+                    _ => lcg(&mut state) % 40,
+                })
+                .collect();
+            let g = idx(&counts, &vec![0; nb]);
+            let target = 1 + (lcg(&mut state) % 64) as usize;
+            let drops = g.coarsening_drops(target);
+            assert!(check_drops(&drops, nb - 1).is_ok(), "case {case}: {drops:?}");
+            let total: u64 = counts.iter().sum();
+            let cap = total.div_ceil(target as u64);
+            // Rebuild the merged buckets as runs of input buckets.
+            let mut runs: Vec<Vec<u64>> = vec![vec![counts[0]]];
+            for (b, &c) in counts.iter().enumerate().skip(1) {
+                if drops.binary_search(&(b - 1)).is_ok() {
+                    runs.last_mut().unwrap().push(c);
+                } else {
+                    runs.push(vec![c]);
+                }
+            }
+            for run in &runs {
+                let mass: u64 = run.iter().sum();
+                assert!(run.len() == 1 || mass <= cap, "case {case}: run {run:?} over {cap}");
+            }
+            assert!(runs.len() <= (2 * target).max(1), "case {case}: {} buckets", runs.len());
+        }
+    }
+
+    #[test]
+    fn host_coarsening_equals_the_merged_shard_stats() {
+        let values: Vec<u64> = (0..3000u64).map(|i| i.wrapping_mul(2654435761) % 997).collect();
+        let bounds: Vec<SepBound<u64>> =
+            (1..120u64).flat_map(|i| [SepBound::lt(i * 8), SepBound::le(i * 8)]).collect();
+        let (mut shards, mut host) = shards_and_host(&values, &bounds);
+        let drops = host.coarsening_drops(8);
+        assert!(drops.len() > 200, "{} drops", drops.len());
+        host.drop_splitters(&drops);
+        let stats: Vec<BucketStats<u64>> = shards
+            .iter_mut()
+            .map(|(data, idx)| {
+                idx.drop_splitters(&drops);
+                bucket_stats(data, &idx.offsets)
+            })
+            .collect();
+        let merged = GlobalIndex::from_shard_stats(shards[0].1.bounds.clone(), &stats);
+        assert_eq!(host.bounds, merged.bounds);
+        assert_eq!(host.counts, merged.counts);
+        assert_eq!(host.minmax, merged.minmax);
+        assert_eq!(host.prefix, merged.prefix);
+        // No element moved: every shard is still bucket-ordered.
+        for (data, idx) in &shards {
+            for b in 0..idx.num_buckets() {
+                for x in &data[idx.offsets[b]..idx.offsets[b + 1]] {
+                    assert!(idx.bounds.get(b).is_none_or(|ub| ub.admits(x)));
+                    assert!(b == 0 || !idx.bounds[b - 1].admits(x));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coarsening_reclassifies_the_pending_delta() {
+        let values: Vec<u64> = (0..400u64).map(|i| i % 100).collect();
+        let bounds: Vec<SepBound<u64>> = (1..50u64).map(|i| SepBound::le(i * 2)).collect();
+        let (_, mut host) = shards_and_host(&values, &bounds);
+        host.note_ingest((0..300u64).map(|i| (i * 7) % 120));
+        let drops = host.coarsening_drops(4);
+        assert!(!drops.is_empty());
+        host.drop_splitters(&drops);
+        let mut reclassified = host.clone();
+        reclassified.reclassify_delta();
+        assert_eq!(host.delta_offsets, reclassified.delta_offsets);
+        // Localization over the merged population still lands every rank
+        // in the bucket that holds it.
+        let mut all: Vec<u64> = values.iter().copied().chain(host.delta_vals.clone()).collect();
+        all.sort_unstable();
+        for (r, &x) in all.iter().enumerate() {
+            let (b, _) = host.window(r as u64);
+            assert!(host.bounds.get(b).is_none_or(|ub| ub.admits(&x)), "rank {r}");
+            assert!(b == 0 || !host.bounds[b - 1].admits(&x), "rank {r}");
+        }
+    }
+
+    #[test]
+    fn malformed_drop_lists_are_rejected() {
+        assert!(check_drops(&[], 0).is_ok());
+        assert!(check_drops(&[0, 2, 5], 6).is_ok());
+        assert!(check_drops(&[0, 2, 6], 6).is_err()); // out of range
+        assert!(check_drops(&[2, 2], 6).is_err()); // repeated
+        assert!(check_drops(&[3, 1], 6).is_err()); // descending
+        assert!(check_drops(&[0], 0).is_err()); // no splitters at all
     }
 
     #[test]

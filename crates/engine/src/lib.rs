@@ -44,10 +44,15 @@
 //!   histogram serves the inverse direction: a value probe the splitters
 //!   bound is answered host-side with zero scans and zero collectives
 //!   (and a batch fully resolved this way never consults the backend at
-//!   all). Ingest appends to a
-//!   small unindexed *delta run* that is merged amortized; rebalance
-//!   rebuilds the splitters. See [`EngineConfig::index_buckets`],
-//!   [`EngineConfig::delta_threshold`] and [`Engine::index_health`].
+//!   all). Ingest appends to a small unindexed *delta run* that is merged
+//!   amortized. When refinement grows the bucket count past its cap, the
+//!   next batch coarsens the index in place: the host picks splitters to
+//!   drop from its exact histogram and ships them in the batch plan, and
+//!   the shards drop them without moving an element or running a
+//!   collective. Only operations that move or lose data — rebalance,
+//!   membership changes, recovery — rebuild the splitters. See
+//!   [`EngineConfig::index_buckets`], [`EngineConfig::delta_threshold`]
+//!   and [`Engine::index_health`].
 //! * **Incremental ingest/delete** with an **imbalance watermark**: shard
 //!   sizes are tracked, and when `max/mean` exceeds
 //!   [`EngineConfig::imbalance_watermark`] the engine re-balances with the
@@ -130,6 +135,7 @@ use std::sync::Arc;
 use cgselect_balance::Balancer;
 use cgselect_core::SelectionConfig;
 use cgselect_runtime::{CommStats, Key, MachineModel, RunError};
+use cgselect_seqsel::SepBound;
 
 use index::{merge_stats, GlobalIndex};
 use query::Resolution;
@@ -157,7 +163,9 @@ pub struct EngineConfig {
     /// index: every exact batch scans the full resident data, as the
     /// pre-index engine did — the baseline the `engine` bench compares
     /// against). Adaptive refinement may grow the bucket count up to 4×
-    /// this target before a rebuild is scheduled.
+    /// this target; past that, the next batch coarsens the index in place
+    /// by dropping splitters (no data moves, no collective), back to at
+    /// most 2× this target.
     pub index_buckets: usize,
     /// Fraction of the resident population that may sit in the unindexed
     /// delta run before a merge folds it into the buckets (a floor of 64
@@ -304,8 +312,8 @@ impl EngineConfig {
         self.selection.validate();
     }
 
-    /// Refinement may grow the bucket count this far before the index is
-    /// marked for a rebuild.
+    /// Refinement may grow the bucket count this far before the next batch
+    /// coarsens the index back toward [`EngineConfig::index_buckets`].
     fn bucket_cap(&self) -> usize {
         (self.index_buckets * 4).max(self.index_buckets + 16)
     }
@@ -430,7 +438,9 @@ pub struct IndexHealth {
     /// `delta_len / resident population` (0.0 when empty).
     pub delta_occupancy: f64,
     /// Index (re)builds so far — the initial build counts as one; further
-    /// rebuilds come from rebalances and refinement growing past the cap.
+    /// rebuilds come only from operations that move or lose data:
+    /// rebalances, worker join/retire and recovery. Refinement growing past
+    /// the cap coarsens the index in place and is not a rebuild.
     pub rebuilds: u64,
     /// Amortized delta-run merges so far.
     pub delta_merges: u64,
@@ -451,10 +461,10 @@ pub struct Engine<T: Key> {
     rebalances: u64,
     batches: u64,
     ingest_cursor: usize,
-    /// Host-side cached global histogram of the shared buckets.
+    /// Host-side cached global histogram of the shared buckets (`None`
+    /// until the first exact batch, and again after any operation that
+    /// moves or loses data).
     index: Option<GlobalIndex<T>>,
-    /// Set when the splitters are stale (rebalance, refinement growth).
-    index_dirty: bool,
     index_rebuilds: u64,
     delta_merges: u64,
     histogram_hits: u64,
@@ -510,7 +520,6 @@ impl<T: Key> Engine<T> {
             batches: 0,
             ingest_cursor: 0,
             index: None,
-            index_dirty: false,
             index_rebuilds: 0,
             delta_merges: 0,
             histogram_hits: 0,
@@ -957,6 +966,7 @@ impl<T: Key> Engine<T> {
         {
             self.ensure_index()?;
         }
+        let drops = self.coarsen_index();
 
         // Per-batch pivot seed: deterministic, but decorrelated across
         // batches so one unlucky stream cannot haunt every batch.
@@ -1068,17 +1078,21 @@ impl<T: Key> Engine<T> {
         // scans.
         let backend_needed =
             !groups.is_empty() || !value_probes.is_empty() || (!use_index && !residual.is_empty());
-        let outcomes = if backend_needed {
-            let batch_plan = BatchPlan {
-                groups: groups.clone(),
-                exact_ranks: residual.clone(),
-                value_probes: value_probes.clone(),
-                selection: sel_cfg,
-                use_index,
-                full_total: n,
-                delta_total,
-                trace: trace_ctx.as_ref().map(|(ctx, _)| *ctx),
-            };
+        let batch_plan = BatchPlan {
+            groups: groups.clone(),
+            exact_ranks: residual.clone(),
+            value_probes: value_probes.clone(),
+            selection: sel_cfg,
+            use_index,
+            full_total: n,
+            delta_total,
+            trace: trace_ctx.as_ref().map(|(ctx, _)| *ctx),
+            drops: Arc::new(drops),
+        };
+        // The shards coarsen in lockstep even when the host serves the
+        // whole batch: they then get a plan that carries only the drops,
+        // which runs no collective.
+        let outcomes = if backend_needed || !batch_plan.drops.is_empty() {
             self.backend.execute(&batch_plan)?
         } else {
             Vec::new()
@@ -1091,51 +1105,26 @@ impl<T: Key> Engine<T> {
             makespan = makespan.max(o.elapsed);
         }
 
-        // Fold the refinement back into the cached histogram, replaying
-        // the shards' bound splices in lockstep so the host mirror of the
-        // shared splitter array stays bit-identical to every shard's:
-        // group refines first (descending), then the probe carves in plan
-        // order — exactly the order `execute_shard` applied them.
-        if use_index && !outcomes.is_empty() {
-            let gidx = self.index.as_mut().expect("index cached");
-            for (g, group) in groups.iter().enumerate().rev() {
-                let answers: Vec<T> = group
-                    .out
-                    .iter()
-                    .map(|&slot| outcomes[0].exact[slot].expect("group ranks resolved"))
-                    .collect();
-                gidx.refine_window_bounds(group.lo, group.hi, &answers);
-                let mut merged = outcomes[0].refines[g].clone();
-                for o in &outcomes[1..] {
-                    merge_stats(&mut merged, &o.refines[g]);
+        // Check every reply against the plan before anything is read from
+        // it, then fold the shards' refinement into the cached histogram:
+        // the host replays their splitter splices in lockstep — group
+        // refines first (descending), then the probe carves in plan order,
+        // exactly the order `execute_shard` applied them — and checks each
+        // refreshed summary against the bucket count it replays. A
+        // malformed reply fails the batch with a typed error and drops the
+        // cached index, which the shards may have refined already; the next
+        // exact batch rebuilds it from the shards.
+        let checked = check_outcomes(self.cfg.nprocs, &batch_plan, &fast, &outcomes).and_then(
+            |()| match self.index.as_mut() {
+                Some(gidx) if !outcomes.is_empty() => {
+                    fold_refinement(gidx, &groups, &value_probes, &outcomes)
                 }
-                gidx.splice_window(group.lo, group.hi, &merged);
-            }
-            // Probe-driven refinement: a resolved probe carves its
-            // `(v,<)(v,≤)` equality-class pair host-side iff the shards
-            // carved it (the skip test depends only on the shared bounds,
-            // so both sides agree without any extra communication).
-            let mut carved = 0usize;
-            for &(v, _) in value_probes.iter() {
-                if let Some(b) = gidx.refine_probe_bounds(v) {
-                    let mut merged = outcomes[0].probe_refines[carved].clone();
-                    for o in &outcomes[1..] {
-                        merge_stats(&mut merged, &o.probe_refines[carved]);
-                    }
-                    gidx.splice_window(b, b, &merged);
-                    carved += 1;
-                }
-            }
-            debug_assert_eq!(
-                carved,
-                outcomes[0].probe_refines.len(),
-                "host probe replay must carve exactly the buckets the shards did"
-            );
-            gidx.rebuild_prefix();
-            gidx.reclassify_delta();
-            if gidx.num_buckets() > self.cfg.bucket_cap() {
-                self.index_dirty = true;
-            }
+                _ => Ok(()),
+            },
+        );
+        if let Err(e) = checked {
+            self.index = None;
+            return Err(e);
         }
 
         // -- Assemble the per-request outcomes.
@@ -1148,10 +1137,8 @@ impl<T: Key> Engine<T> {
             exact_slots[slot] = Some(v);
             slot_fast[slot] = true;
         }
-        let exact_values: Vec<T> = exact_slots
-            .into_iter()
-            .map(|v| v.expect("every coalesced rank must have been resolved"))
-            .collect();
+        let exact_values: Vec<T> =
+            exact_slots.into_iter().map(|v| v.expect("checked by check_outcomes")).collect();
         let assembled = assemble_outcomes(
             &plan,
             &AssemblyContext {
@@ -1284,21 +1271,38 @@ impl<T: Key> Engine<T> {
         })
     }
 
-    /// (Re)builds the resident bucket index when it is missing or stale:
-    /// the shards pool their sample sketches through one collective, derive
-    /// the identical splitter vector, partition their data (delta run
-    /// included) and report per-bucket summaries, which the host caches as
-    /// the global histogram.
+    /// Builds the resident bucket index when it is missing (first exact
+    /// batch, or after data moved or was lost): the shards pool their sample
+    /// sketches through one collective, derive the identical splitter
+    /// vector, partition their data (delta run included) and report
+    /// per-bucket summaries, which the host checks for agreement and caches
+    /// as the global histogram.
     fn ensure_index(&mut self) -> Result<(), EngineError> {
-        if self.index.is_some() && !self.index_dirty {
+        if self.index.is_some() {
             return Ok(());
         }
         debug_assert!(self.total > 0, "index builds only over resident data");
-        let (bounds, stats) = self.backend.build_index(self.cfg.index_buckets)?;
+        let built = self.backend.build_index(self.cfg.index_buckets)?;
+        let (bounds, stats) = check_splitters(built)?;
         self.index = Some(GlobalIndex::from_shard_stats(bounds, &stats));
-        self.index_dirty = false;
         self.index_rebuilds += 1;
         Ok(())
+    }
+
+    /// Coarsens the index in place once refinement has grown it past
+    /// [`EngineConfig::bucket_cap`]: the host drops splitters (see
+    /// [`GlobalIndex::coarsening_drops`]) and returns them for the batch
+    /// plan, so every shard drops the same ones. No data moves and no
+    /// collective runs.
+    fn coarsen_index(&mut self) -> Vec<usize> {
+        match &mut self.index {
+            Some(gidx) if gidx.num_buckets() > self.cfg.bucket_cap() => {
+                let drops = gidx.coarsening_drops(self.cfg.index_buckets);
+                gidx.drop_splitters(&drops);
+                drops
+            }
+            _ => Vec::new(),
+        }
     }
 
     /// Folds the delta run into the buckets once it outgrows the threshold.
@@ -1362,7 +1366,6 @@ impl<T: Key> Engine<T> {
         self.cfg.nprocs = sizes.len();
         self.set_sizes(sizes);
         self.index = None;
-        self.index_dirty = false;
         self.standing.invalidate_all();
         self.ingest_cursor %= self.cfg.nprocs;
         Ok(self.cfg.nprocs)
@@ -1376,7 +1379,6 @@ impl<T: Key> Engine<T> {
         self.cfg.nprocs = sizes.len();
         self.set_sizes(sizes);
         self.index = None;
-        self.index_dirty = false;
         self.standing.invalidate_all();
         self.ingest_cursor %= self.cfg.nprocs;
         Ok(self.cfg.nprocs)
@@ -1392,7 +1394,6 @@ impl<T: Key> Engine<T> {
         let report = self.backend.recover()?;
         self.set_sizes(report.sizes.clone());
         self.index = None;
-        self.index_dirty = false;
         // Recovery changes the multiset (dead shards' data is gone), so it
         // is a mutation: the version moves and every subscription refreshes.
         self.version += 1;
@@ -1422,7 +1423,6 @@ impl<T: Key> Engine<T> {
         let sizes = self.backend.rebalance()?;
         self.set_sizes(sizes);
         self.index = None;
-        self.index_dirty = false;
         self.rebalances += 1;
         Ok(true)
     }
@@ -1444,6 +1444,11 @@ enum CountRoute {
     Backend,
 }
 
+/// The typed error every check of a shard reply fails with.
+fn wire_violation<R>(rank: usize, detail: String) -> Result<R, EngineError> {
+    Err(EngineError::Backend(BackendError::Runtime(RunError::WireProtocol { rank, detail })))
+}
+
 /// Checks the shards' deletion replies against the host's view before any
 /// of them is applied, so a malformed reply (say, from an out-of-process
 /// worker) fails with a typed error instead of panicking or underflowing a
@@ -1456,38 +1461,173 @@ fn check_deletions<T: Key>(
     index: Option<&GlobalIndex<T>>,
     replies: &[ShardDeletion],
 ) -> Result<(), EngineError> {
-    let violation = |rank: usize, detail: String| {
-        Err(EngineError::Backend(BackendError::Runtime(RunError::WireProtocol { rank, detail })))
-    };
     if replies.len() != shard_sizes.len() {
         let rank = replies.len().min(shard_sizes.len());
         let detail = format!("{} delete replies for {} shards", replies.len(), shard_sizes.len());
-        return violation(rank, detail);
+        return wire_violation(rank, detail);
     }
     let mut left = index.map(|g| (g.counts.clone(), g.delta_total));
     for (rank, (reply, &size)) in replies.iter().zip(shard_sizes).enumerate() {
         let Some(gone) = size.checked_sub(reply.remaining) else {
-            return violation(rank, format!("{} elements remain of {size}", reply.remaining));
+            return wire_violation(rank, format!("{} elements remain of {size}", reply.remaining));
         };
         let Some((counts, delta)) = left.as_mut() else { continue };
         if reply.removed.len() != counts.len() + 1 {
             let detail =
                 format!("{} removal counts for {} buckets", reply.removed.len(), counts.len());
-            return violation(rank, detail);
+            return wire_violation(rank, detail);
         }
         if reply.removed.iter().sum::<u64>() != gone {
-            return violation(rank, format!("removal counts do not sum to {gone}"));
+            return wire_violation(rank, format!("removal counts do not sum to {gone}"));
         }
         for (b, (have, &c)) in
             counts.iter_mut().chain(std::iter::once(delta)).zip(&reply.removed).enumerate()
         {
             let Some(rest) = have.checked_sub(c) else {
-                return violation(rank, format!("{c} removals from slot {b} holding {have}"));
+                return wire_violation(rank, format!("{c} removals from slot {b} holding {have}"));
             };
             *have = rest;
         }
     }
     Ok(())
+}
+
+/// Checks that every shard derived the same splitters in an index build and
+/// that each summary has one entry per bucket, then splits the replies into
+/// the shared splitter vector and the per-shard summaries. A shard that
+/// disagrees would partition its data into different value ranges than the
+/// host routes against, so this holds in release builds too.
+#[allow(clippy::type_complexity)]
+fn check_splitters<T: Key>(
+    built: Vec<(Vec<SepBound<T>>, BucketStats<T>)>,
+) -> Result<(Vec<SepBound<T>>, Vec<BucketStats<T>>), EngineError> {
+    let mut bounds = None;
+    let mut stats = Vec::with_capacity(built.len());
+    for (rank, (b, s)) in built.into_iter().enumerate() {
+        let agreed = bounds.get_or_insert(b.clone());
+        if *agreed != b {
+            return wire_violation(rank, "splitters disagree with shard 0's".into());
+        }
+        if s.len() != b.len() + 1 {
+            let detail = format!("{} bucket summaries for {} splitters", s.len(), b.len());
+            return wire_violation(rank, detail);
+        }
+        stats.push(s);
+    }
+    Ok((bounds.unwrap_or_default(), stats))
+}
+
+/// Checks the shards' batch replies against the plan before any of them is
+/// read, so a malformed reply fails with a typed error instead of a panic —
+/// the twin of [`check_deletions`]. There must be one reply per shard; each
+/// must carry one slot per exact rank, one count per value probe, one
+/// refreshed summary per group and as many phase spans as rank 0's; and
+/// rank 0's slots must resolve every rank the histogram did not (`fast`).
+/// The summaries' lengths are checked by [`fold_refinement`], which replays
+/// the bucket counts they must have.
+fn check_outcomes<T: Key>(
+    nprocs: usize,
+    plan: &BatchPlan<T>,
+    fast: &[(usize, T)],
+    replies: &[ShardBatchOutcome<T>],
+) -> Result<(), EngineError> {
+    let Some(rank0) = replies.first() else { return Ok(()) };
+    if replies.len() != nprocs {
+        let detail = format!("{} execute replies for {nprocs} shards", replies.len());
+        return wire_violation(replies.len().min(nprocs), detail);
+    }
+    let (n_exact, n_probes, n_groups) =
+        (plan.exact_ranks.len(), plan.value_probes.len(), plan.groups.len());
+    for (rank, o) in replies.iter().enumerate() {
+        if o.exact.len() != n_exact
+            || o.probe_counts.len() != n_probes
+            || o.refines.len() != n_groups
+            || o.spans.len() != rank0.spans.len()
+        {
+            let detail = format!(
+                "{} rank slots, {} probe counts, {} window summaries and {} spans \
+                 for {n_exact} ranks, {n_probes} probes, {n_groups} windows and {} spans",
+                o.exact.len(),
+                o.probe_counts.len(),
+                o.refines.len(),
+                o.spans.len(),
+                rank0.spans.len()
+            );
+            return wire_violation(rank, detail);
+        }
+    }
+    let mut resolved: Vec<bool> = rank0.exact.iter().map(Option::is_some).collect();
+    for &(slot, _) in fast {
+        resolved[slot] = true;
+    }
+    match resolved.iter().position(|&r| !r) {
+        Some(slot) => wire_violation(0, format!("rank slot {slot} left unresolved")),
+        None => Ok(()),
+    }
+}
+
+/// Replays one executed batch's splitter refinement on the host index and
+/// splices in the shards' refreshed summaries, merged over shards. Each
+/// summary must have exactly as many buckets as the replayed region, and
+/// every shard must have carved exactly the probes the host carves; a
+/// mismatch is a typed error (the caller then drops the half-refined index).
+fn fold_refinement<T: Key>(
+    gidx: &mut GlobalIndex<T>,
+    groups: &[Group],
+    probes: &[(T, bool)],
+    replies: &[ShardBatchOutcome<T>],
+) -> Result<(), EngineError> {
+    let rank0 = &replies[0];
+    for (g, group) in groups.iter().enumerate().rev() {
+        let answers: Vec<T> = group.out.iter().filter_map(|&slot| rank0.exact[slot]).collect();
+        let before = gidx.bounds.len();
+        gidx.refine_window_bounds(group.lo, group.hi, &answers);
+        let buckets = gidx.bounds.len() - before + group.hi - group.lo + 1;
+        let merged = merged_stats(replies, buckets, |o| o.refines.get(g))?;
+        gidx.splice_window(group.lo, group.hi, &merged);
+    }
+    // Probe-driven refinement: a resolved probe carves its `(v,<)(v,≤)`
+    // equality-class pair host-side iff the shards carved it (the skip test
+    // depends only on the shared bounds, so both sides agree without any
+    // extra communication).
+    let mut carved = 0usize;
+    for &(v, _) in probes {
+        let before = gidx.bounds.len();
+        if let Some(b) = gidx.refine_probe_bounds(v) {
+            let buckets = gidx.bounds.len() - before + 1;
+            let merged = merged_stats(replies, buckets, |o| o.probe_refines.get(carved))?;
+            gidx.splice_window(b, b, &merged);
+            carved += 1;
+        }
+    }
+    if let Some(rank) = replies.iter().position(|o| o.probe_refines.len() != carved) {
+        let detail =
+            format!("{} probe carves, expected {carved}", replies[rank].probe_refines.len());
+        return wire_violation(rank, detail);
+    }
+    gidx.rebuild_prefix();
+    gidx.reclassify_delta();
+    Ok(())
+}
+
+/// One refreshed region's summary merged over every shard's reply, each of
+/// which must be present with exactly `buckets` entries.
+fn merged_stats<'a, T: Key>(
+    replies: &'a [ShardBatchOutcome<T>],
+    buckets: usize,
+    pick: impl Fn(&'a ShardBatchOutcome<T>) -> Option<&'a BucketStats<T>>,
+) -> Result<BucketStats<T>, EngineError> {
+    let mut merged: BucketStats<T> = vec![(0, None); buckets];
+    for (rank, o) in replies.iter().enumerate() {
+        match pick(o) {
+            Some(stats) if stats.len() == buckets => merge_stats(&mut merged, stats),
+            other => {
+                let got = other.map_or("no".into(), |s| s.len().to_string());
+                return wire_violation(rank, format!("{got} refined buckets, expected {buckets}"));
+            }
+        }
+    }
+    Ok(merged)
 }
 
 /// Extracts the selected probes as a dense sub-list plus, per original
@@ -1897,6 +2037,106 @@ mod tests {
         // Without an index only the sizes are checked.
         assert!(check_deletions::<u64>(&sizes, None, &[reply(1, &[]), reply(2, &[9])]).is_ok());
         assert!(check_deletions::<u64>(&sizes, None, &[reply(5, &[])]).is_err());
+    }
+
+    #[test]
+    fn malformed_execute_replies_fail_typed() {
+        // Buckets `≤ 10 | (10, 20] | > 20`. Three exact rank slots: 0 and
+        // 2 served by the histogram, 1 routed to bucket 1 and answered 15;
+        // one value probe at 5 carves its class in bucket 0.
+        let g: GlobalIndex<u64> = GlobalIndex::from_shard_stats(
+            vec![SepBound::le(10), SepBound::le(20)],
+            &vec![vec![(2, Some((1, 9))), (2, Some((12, 18))), (1, Some((25, 25)))]; 2],
+        );
+        let plan = BatchPlan {
+            groups: Arc::new(vec![Group { lo: 1, hi: 1, n: 4, ranks: vec![1], out: vec![1] }]),
+            exact_ranks: Arc::new(RankSet::from_runs(vec![(0, 3)])),
+            value_probes: Arc::new(vec![(5u64, false)]),
+            selection: SelectionConfig::default(),
+            use_index: true,
+            full_total: 10,
+            delta_total: 0,
+            trace: None,
+            drops: Arc::new(Vec::new()),
+        };
+        let fast = [(0usize, 1u64), (2, 25)];
+        let reply = |exact: &[Option<u64>], refines: &[usize], carves: &[usize], probes: usize| {
+            let stats = |lens: &[usize]| lens.iter().map(|&n| vec![(0, None); n]).collect();
+            ShardBatchOutcome {
+                exact: exact.to_vec(),
+                refines: stats(refines),
+                probe_refines: stats(carves),
+                probe_counts: vec![0; probes],
+                phase_ops: PhaseOps::default(),
+                comm: CommStats::default(),
+                elapsed: 0.0,
+                spans: Vec::new(),
+            }
+        };
+        let good = || reply(&[None, Some(15), None], &[3], &[3], 1);
+        // Both stages, as `run_once` runs them: the shape check, then the
+        // refinement fold on a copy of the host index.
+        let check = |replies: &[ShardBatchOutcome<u64>]| {
+            check_outcomes(2, &plan, &fast, replies).and_then(|()| {
+                fold_refinement(&mut g.clone(), &plan.groups, &[(5, false)], replies)
+            })
+        };
+        assert!(check(&[good(), good()]).is_ok());
+        assert!(check_outcomes(2, &plan, &fast, &[]).is_ok());
+        let mut folded = g.clone();
+        fold_refinement(&mut folded, &plan.groups, &plan.value_probes, &[good(), good()]).unwrap();
+        // ≤5 splits off `< 5` and `{5}`; bucket 1 splits around 15.
+        assert_eq!(folded.num_buckets(), 7);
+        let mut spanned = good();
+        spanned.spans =
+            vec![PhaseSpan { phase: Phase::Probes, time: 0.0, comm: CommStats::default() }];
+        let bad: [(&str, Vec<ShardBatchOutcome<u64>>, usize); 11] = [
+            ("spans", vec![spanned, good()], 1),
+            ("reply count", vec![good()], 1),
+            ("short exact", vec![good(), reply(&[None, Some(15)], &[3], &[3], 1)], 1),
+            ("probe counts", vec![reply(&[None, Some(15), None], &[3], &[3], 0), good()], 0),
+            // With slot 1 unresolved the host replays no answer into the
+            // window, which then stays one bucket.
+            ("unresolved", vec![reply(&[None, None, None], &[1], &[3], 1); 2], 0),
+            ("refine count", vec![good(), reply(&[None, Some(15), None], &[3, 3], &[3], 1)], 1),
+            ("refine missing", vec![good(), reply(&[None, Some(15), None], &[], &[3], 1)], 1),
+            ("refine length", vec![reply(&[None, Some(15), None], &[2], &[3], 1), good()], 0),
+            ("carve count", vec![good(), reply(&[None, Some(15), None], &[3], &[3, 3], 1)], 1),
+            ("carve missing", vec![good(), reply(&[None, Some(15), None], &[3], &[], 1)], 1),
+            ("carve length", vec![reply(&[None, Some(15), None], &[3], &[4], 1), good()], 0),
+        ];
+        for (what, replies, want_rank) in bad {
+            match check(&replies) {
+                Err(EngineError::Backend(BackendError::Runtime(RunError::WireProtocol {
+                    rank,
+                    ..
+                }))) => assert_eq!(rank, want_rank, "{what}"),
+                other => panic!("{what}: expected a wire-protocol error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn disagreeing_splitters_fail_typed() {
+        let stats = |n: usize| vec![(1u64, Some((0u64, 0u64))); n];
+        let agreed = vec![SepBound::le(10u64), SepBound::le(20)];
+        let built = vec![(agreed.clone(), stats(3)), (agreed.clone(), stats(3))];
+        let (bounds, per_shard) = check_splitters(built).unwrap();
+        assert_eq!((bounds, per_shard.len()), (agreed.clone(), 2));
+        let other = vec![SepBound::le(10u64), SepBound::lt(20)];
+        let bad = [
+            ("disagreeing", vec![(agreed.clone(), stats(3)), (other, stats(3))], 1),
+            ("short summary", vec![(agreed.clone(), stats(2)), (agreed.clone(), stats(3))], 0),
+        ];
+        for (what, built, want_rank) in bad {
+            match check_splitters(built) {
+                Err(EngineError::Backend(BackendError::Runtime(RunError::WireProtocol {
+                    rank,
+                    ..
+                }))) => assert_eq!(rank, want_rank, "{what}"),
+                other => panic!("{what}: expected a wire-protocol error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

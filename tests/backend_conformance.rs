@@ -747,6 +747,104 @@ fn socket_mp_inverse_ops_match_in_process_answers_and_rounds() {
     }
 }
 
+/// Drives fresh exact ranks and unseen `RankOf` probes until refinement has
+/// pushed the index past its bucket cap (64 at 16 target buckets) several
+/// times, with ingest (and the delta merges it trips) and deletes in
+/// between; oracle-checks every answer and records what the backend did.
+fn run_coarsening_lifecycle(backend: BackendChoice) -> Vec<Step> {
+    use cgselect::Request;
+    let (p, cap, per_batch) = (4, 64, 8u64);
+    let mut engine: Engine<u64> = Engine::new(cfg(p, backend)).unwrap();
+    let mut all: Vec<u64> = (0..4000u64).map(|i| i.wrapping_mul(2654435761) % 100_003).collect();
+    engine.ingest(all.clone()).unwrap();
+    let mut steps = Vec::new();
+    let mut coarsenings = 0;
+    let mut state = 5u64;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    for batch in 0..40u64 {
+        if batch % 5 == 4 {
+            let burst: Vec<u64> = (0..90).map(|_| next() % 100_003).collect();
+            all.extend(&burst);
+            engine.ingest(burst).unwrap();
+        }
+        if batch % 7 == 6 {
+            let victims = [all[(next() as usize) % all.len()], all[(next() as usize) % all.len()]];
+            engine.delete(&victims).unwrap();
+            all.retain(|x| !victims.contains(x));
+        }
+        let mut sorted = all.clone();
+        sorted.sort_unstable();
+        let n = sorted.len() as u64;
+        let ranks: Vec<u64> = (0..per_batch).map(|_| next() % n).collect();
+        let probes: Vec<u64> = (0..2).map(|_| next() % 100_003).collect();
+        let requests: Vec<Request<u64>> = ranks
+            .iter()
+            .map(|&r| Request::rank(r))
+            .chain(probes.iter().map(|&v| Request::rank_of(v)))
+            .collect();
+        let mut before = engine.index_health().buckets;
+        if before > cap && batch % 2 == 0 {
+            // A batch the host serves alone (here from the ε-sketch) still
+            // coarsens every shard, through a plan that runs no collective.
+            let sketch = engine.run(&[Request::median().within_rank(0.5)]).unwrap();
+            assert_eq!(sketch.collective_ops, 0, "batch {batch}: drops-only plan");
+            let after = engine.index_health().buckets;
+            assert!(after < before, "batch {batch}: {before} buckets were not coarsened");
+            (before, coarsenings) = (after, coarsenings + 1);
+        }
+        let report = engine.run(&requests).unwrap();
+        let got: Vec<u64> = report
+            .outcomes
+            .iter()
+            .map(|o| o.response.element().or(o.response.count()).expect("exact answer"))
+            .collect();
+        let expect: Vec<u64> = ranks
+            .iter()
+            .map(|&r| sorted[r as usize])
+            .chain(probes.iter().map(|&v| sorted.partition_point(|&x| x < v) as u64))
+            .collect();
+        let label = format!("batch {batch}");
+        assert_eq!(got, expect, "{}: {label} diverged from the oracle", engine.backend_kind());
+        let health = engine.index_health();
+        assert_eq!(health.rebuilds, 1, "{label}: coarsening must not rebuild ({health:?})");
+        // Coarsening runs at plan time, so between batches the count may
+        // exceed the cap by at most one batch's refinement.
+        assert!(health.buckets <= cap + 2 * (per_batch as usize + 2), "{label}: {health:?}");
+        if before > cap {
+            assert!(health.buckets < before, "{label}: {before} buckets were not coarsened");
+            coarsenings += 1;
+        }
+        steps.push(Step {
+            label,
+            answers: got.into_iter().map(Answer::Value).collect(),
+            collective_ops: report.collective_ops,
+            histogram_answers: report.histogram_answers,
+            len: engine.len(),
+            health,
+        });
+    }
+    let health = engine.index_health();
+    assert!(
+        coarsenings >= 3,
+        "{}: crossed the cap only {coarsenings} times",
+        engine.backend_kind()
+    );
+    assert!(health.delta_merges >= 1, "ingest bursts must trip a delta merge ({health:?})");
+    steps
+}
+
+#[test]
+fn socket_mp_coarsening_in_place_agrees_with_in_process_backends() {
+    let local = run_coarsening_lifecycle(BackendChoice::LocalSpmd);
+    let mp = run_coarsening_lifecycle(channel_mp());
+    let sock = run_coarsening_lifecycle(socket_mp());
+    assert_eq!(local, mp, "ChannelMp diverged from LocalSpmd while coarsening");
+    assert_eq!(sock, local, "SocketMp diverged from LocalSpmd while coarsening");
+}
+
 #[test]
 fn socket_mp_sigkill_mid_batch_surfaces_typed_error_and_poisons() {
     let mut engine: Engine<u64> = Engine::new(cfg(3, socket_mp_faulty())).unwrap();
